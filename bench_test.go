@@ -218,7 +218,7 @@ func BenchmarkFig14dJoinFraction(b *testing.B) {
 // --- Planner benchmarks (not tied to a paper figure) ---
 
 // benchSizes are the random-topology sizes of the planner-comparison
-// benchmark: small is brute-force/DP territory, medium is the paper's
+// benchmark: small is exhaustive-DP territory, medium is the paper's
 // §VI-C baseline, large stresses the sub-topology machinery.
 var benchSizes = []struct {
 	name           string
@@ -246,9 +246,9 @@ func benchTopology(b *testing.B, minOps, maxOps, minPar, maxPar int) *topology.T
 // objective evaluation and parallel candidate search on the planner hot
 // path. A fresh context per iteration makes each measurement a full
 // cold planning run. Planners that cannot handle a size (DP past its
-// state cap, brute force past 24 tasks) are skipped.
+// state cap, full on a non-Full topology) are skipped.
 func BenchmarkPlanners(b *testing.B) {
-	for _, name := range []string{"greedy", "full", "structured", "sa", "portfolio", "dp", "brute"} {
+	for _, name := range []string{"greedy", "full", "structured", "sa", "portfolio", "dp"} {
 		pl, ok := plan.Lookup(name)
 		if !ok {
 			b.Fatalf("planner %q not registered", name)
@@ -512,7 +512,6 @@ func BenchmarkTiltedCascadeCampaign(b *testing.B) {
 		Model:       campaign.Cascade,
 		Correlation: 0.05,
 		CascadeLag:  campaign.Ptr(sim.Time(12)),
-		CRN:         true,
 		Tilt:        5,
 	})
 	if err != nil {
@@ -546,11 +545,12 @@ func BenchmarkTiltedCascadeCampaign(b *testing.B) {
 // BenchmarkPairedSweep quantifies the common-random-numbers win on a
 // placement head-to-head at equal simulation budget: the 95% CI
 // half-width of the mean output-loss delta between anti-affinity and
-// round-robin placement, estimated (a) paired on CRN scenarios and
-// (b) from two independent campaigns. Reported as paired_ci_w,
-// indep_ci_w and ci_width_ratio (indep/paired); benchjson -check gates
-// the ratio at >= 2, i.e. CRN pairing reaches a target half-width with
-// at least 4x fewer scenarios.
+// round-robin placement, estimated (a) paired on one seed's scenarios,
+// which both cells replay draw for draw, and (b) from two independent
+// campaigns with distinct seeds. Reported as paired_ci_w, indep_ci_w
+// and ci_width_ratio (indep/paired); benchjson -check gates the ratio
+// at >= 2, i.e. pairing reaches a target half-width with at least 4x
+// fewer scenarios.
 func BenchmarkPairedSweep(b *testing.B) {
 	env := hotPathEnv(b)
 	sample, err := env.Cluster()
@@ -564,7 +564,6 @@ func BenchmarkPairedSweep(b *testing.B) {
 			Scenarios:   n,
 			Model:       campaign.KOfRack,
 			Correlation: campaign.DefaultCorrelation,
-			CRN:         true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -590,7 +589,7 @@ func BenchmarkPairedSweep(b *testing.B) {
 	baseline := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Paired: both cells replay the same CRN draws.
+		// Paired: both cells replay the same (Seed, i) draws.
 		pair := campaign.NewPaired(n)
 		baseline = runCell(shared, cluster.PlacementAntiAffinity, baseline, func(r campaign.ScenarioResult) {
 			pair.ObserveBase(r.Scenario.Index, r.OutputLoss)

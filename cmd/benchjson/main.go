@@ -135,16 +135,16 @@ func gate(records []Record, baselinePath string, maxRegress float64) error {
 			}
 		}
 		// A baseline entry with a ci_width_ratio metric asserts the
-		// common-random-numbers invariant: the paired delta CI must stay
-		// at most half the width of the independent-campaigns CI (i.e.
-		// CRN pairing reaches a target half-width with >= 4x fewer
-		// scenarios). The campaigns are seeded and deterministic, so the
+		// pairing invariant: the delta CI of two cells replaying the
+		// same seed's draws must stay at most half the width of the
+		// independent-campaigns CI (i.e. pairing reaches a target
+		// half-width with >= 4x fewer scenarios). The campaigns are seeded and deterministic, so the
 		// ratio is stable enough to gate well above the floor.
 		if _, gated := b.Metrics["ci_width_ratio"]; gated {
 			checked++
 			got := r.Metrics["ci_width_ratio"]
 			if got < 2 {
-				return fmt.Errorf("%s ci_width_ratio %.2f below 2: CRN pairing lost its variance advantage",
+				return fmt.Errorf("%s ci_width_ratio %.2f below 2: cells sharing a seed no longer replay identical draws, or pairing lost its variance advantage",
 					b.Name, got)
 			}
 			fmt.Fprintf(os.Stderr, "benchjson: %s ci_width_ratio %.2f >= 2\n", b.Name, got)

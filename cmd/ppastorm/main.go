@@ -22,10 +22,13 @@
 // Sweeping -placement and the *-corr planners prints a head-to-head
 // table: domain-blind round-robin replica placement vs rack
 // anti-affinity, and the worst-case objective vs the correlation-aware
-// one.
+// one. A single-process sweep over both placements also prints the
+// paired per-scenario deltas between them with 95% CIs: every cell
+// replays the same failure draws for the same -seed, so the pairing
+// needs no extra flag.
 //
 // Aggregation streams: scenario results fold into mergeable quantile
-// sketches in scenario order (sharded by scenario index mod -shards),
+// sketches in scenario order (sharded into -shards contiguous blocks),
 // so memory stays flat however many scenarios run — million-scenario
 // sweeps are a matter of wall clock, not RAM. For a fixed seed and
 // shard count the summary is bit-identical at any -workers. -results
@@ -64,6 +67,7 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -265,9 +269,10 @@ type pairedCell struct {
 	loss, lat *campaign.Paired
 }
 
-// pairedSet accumulates the CRN placement head-to-head: anti-affinity
-// is the base cell, round-robin the other, paired by scenario index.
-// Only meaningful under -crn (both cells replay identical draws).
+// pairedSet accumulates the placement head-to-head: anti-affinity is
+// the base cell, round-robin the other, paired by scenario index. Both
+// cells replay identical failure draws, because scenario i is a pure
+// function of (-seed, i).
 type pairedSet struct {
 	enabled bool
 	cells   map[pairedKey]*pairedCell
@@ -317,8 +322,8 @@ func (ps *pairedSet) observer(topo, planner, placement, model string, n int) fun
 // model), the per-scenario delta (round-robin − anti-affinity) of the
 // output loss (p95 with order-statistic CI, mean with paired-t CI) and
 // the recovery latency (mean with paired-t CI). Because the deltas are
-// paired on common random numbers, these intervals are far narrower
-// than differencing two independent cells' summaries.
+// paired on identical draws (common random numbers), these intervals
+// are far narrower than differencing two independent cells' summaries.
 func (ps *pairedSet) writeTo(w io.Writer) {
 	printed := false
 	for _, k := range ps.order {
@@ -328,7 +333,7 @@ func (ps *pairedSet) writeTo(w io.Writer) {
 			continue
 		}
 		if !printed {
-			fmt.Fprintf(w, "\nCRN-paired deltas (round-robin − anti-affinity, 95%% CIs):\n")
+			fmt.Fprintf(w, "\nPaired deltas (round-robin − anti-affinity, 95%% CIs):\n")
 			fmt.Fprintf(w, "  %-8s %-14s %-10s %6s | %8s %9s | %8s %9s | %8s %9s\n",
 				"topo", "planner", "model", "pairs",
 				"dp95loss", "±ci", "dloss", "±ci", "dlat_s", "±ci")
@@ -352,7 +357,6 @@ func main() {
 		scenarios   = flag.Int("scenarios", 1000, "scenarios per sweep cell")
 		seed        = flag.Int64("seed", 1, "campaign seed (scenario randomness)")
 		correlation = flag.Float64("correlation", 0.5, "correlation strength in [0,1]")
-		crn         = flag.Bool("crn", false, "generate scenarios from common-random-number substreams: every sweep cell replays bit-identical failure draws, enabling the paired head-to-head delta table")
 		tilt        = flag.Float64("tilt", 0, "importance-sample rare cascades at tilted join probability 1-(1-p)^tilt (0 disables, otherwise >= 1); summaries are reweighted to the nominal correlation and report effective samples")
 		ciTol       = flag.Float64("ci-tol", 0, "stop a cell early once the 95% CI half-width of its p95 output loss is at most this (0 disables)")
 		failAt      = flag.Float64("fail-at", 30.5, "base failure-injection time (virtual s)")
@@ -489,12 +493,14 @@ func main() {
 	}
 
 	var rows []row
-	// Paired CRN head-to-head: with -crn and both placement policies in
-	// the sweep, per-scenario metrics of the anti-affinity (base) and
-	// round-robin (other) cells are paired by scenario index, since CRN
-	// makes both cells replay identical failure draws. Single-process
-	// only — pairing needs the per-scenario stream.
-	pairs := newPairedSet(*crn && pool == nil)
+	// Paired head-to-head: with both placement policies in the sweep,
+	// per-scenario metrics of the anti-affinity (base) and round-robin
+	// (other) cells are paired by scenario index, since both cells
+	// replay identical failure draws. Single-process only — pairing
+	// needs the per-scenario stream.
+	pairs := newPairedSet(pool == nil &&
+		slices.Contains(placementList, cluster.PlacementAntiAffinity) &&
+		slices.Contains(placementList, cluster.PlacementRoundRobin))
 	// The failure-free baseline depends only on (topology, planner,
 	// horizon) — not on placement or burst model — so one cached
 	// baseline simulation serves every cell of a (topo, planner) sweep.
@@ -546,7 +552,6 @@ func main() {
 						Model:       model,
 						FailAt:      campaign.Ptr(sim.Time(*failAt)),
 						Correlation: *correlation,
-						CRN:         *crn,
 						Tilt:        *tilt,
 					}
 					var rep *campaign.Report

@@ -7,12 +7,11 @@ import (
 
 // Paired accumulates a common-random-numbers head-to-head: the same
 // metric observed under two configurations (base and other) on
-// scenarios generated from the same CRN substreams, paired by scenario
-// index. Because both cells replay bit-identical failure draws, the
+// scenarios generated from the same seed, paired by scenario index. Because both cells replay bit-identical failure draws, the
 // per-scenario deltas cancel the scenario-to-scenario variance and the
 // comparison's confidence interval shrinks far below what two
-// independent campaigns of the same budget achieve — the classic CRN
-// variance reduction. Memory is O(n): Paired is a head-to-head
+// independent campaigns of the same budget achieve — the classic
+// common-random-numbers variance reduction. Memory is O(n): Paired is a head-to-head
 // reporting tool for sweep cells, not a streaming aggregate.
 type Paired struct {
 	base, other []float64
@@ -44,7 +43,7 @@ func (p *Paired) ObserveOther(i int, v float64) {
 	}
 }
 
-// PairedSummary reports the paired-difference statistics of a CRN
+// PairedSummary reports the paired-difference statistics of a
 // head-to-head: deltas are other − base, so a negative MeanDelta means
 // the other cell improved on the base. Half-widths are 95% two-sided.
 type PairedSummary struct {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/par"
+	"repro/internal/sketch"
 )
 
 // Distributed campaigns. Config.Shards cuts the scenario index space
@@ -107,10 +108,9 @@ func runShards(ctx context.Context, cfg Config, r Range, pool chan *engine.Engin
 		return nil, nil, err
 	}
 	first := r.Lo / block
-	weighted := scenariosWeighted(cfg.Scenarios)
 	aggs := make([]*aggregator, (r.Hi-1)/block-first+1)
 	for s := range aggs {
-		aggs[s] = newAggregator(weighted)
+		aggs[s] = newAggregator()
 	}
 	var results []ScenarioResult
 	if cfg.KeepResults {
@@ -172,10 +172,10 @@ func watchCancel(ctx context.Context, st *streamer) func() {
 }
 
 // ShardState is the serialisable reduction state of one shard: the
-// exact counters plus the binary encoding of every metric sketch (see
-// sketch.MarshalBinary). It is the unit a distributed campaign ships
-// from workers back to the coordinator; JSON encodes the sketch bytes
-// as base64.
+// exact counters plus the binary encoding of every metric summary (see
+// sketch.Weighted.MarshalBinary). It is the unit a distributed campaign
+// ships from workers back to the coordinator; JSON encodes the summary
+// bytes as base64.
 type ShardState struct {
 	// Shard is the shard index in [0, Shards); MergeShardStates merges
 	// states in this order.
@@ -188,89 +188,57 @@ type ShardState struct {
 	Tentative   []byte `json:"tentative"`
 	Corrected   []byte `json:"corrected"`
 	T2C         []byte `json:"t2c"`
-	// Weighted marks an importance-sampled shard: the sketch bytes
-	// above are sketch.Weighted encodings, and the exact moment
-	// counters below carry the effective-sample-size state (see
-	// aggregator). All shards of one campaign agree on the mode.
-	Weighted bool    `json:"weighted,omitempty"`
-	SumW     float64 `json:"sum_w,omitempty"`
-	SumW2    float64 `json:"sum_w2,omitempty"`
-	SumWX    float64 `json:"sum_wx,omitempty"`
-	SumWX2   float64 `json:"sum_wx2,omitempty"`
-	SumW2X   float64 `json:"sum_w2x,omitempty"`
-	SumW2X2  float64 `json:"sum_w2x2,omitempty"`
+	// The exact moment counters behind the effective sample size (see
+	// aggregator).
+	SumW    float64 `json:"sum_w"`
+	SumW2   float64 `json:"sum_w2"`
+	SumWX   float64 `json:"sum_wx"`
+	SumWX2  float64 `json:"sum_wx2"`
+	SumW2X  float64 `json:"sum_w2x"`
+	SumW2X2 float64 `json:"sum_w2x2"`
+}
+
+// metricField pairs one metric summary of an aggregator with its
+// encoded field in a shard state.
+type metricField struct {
+	b *[]byte
+	s *sketch.Weighted
+}
+
+// metrics lists every metric of the aggregator against its field of
+// st, in the fixed encoding order.
+func (a *aggregator) metrics(st *ShardState) [6]metricField {
+	return [6]metricField{
+		{&st.Latency, a.lat}, {&st.Loss, a.loss}, {&st.FailedTasks, a.blast},
+		{&st.Tentative, a.tent}, {&st.Corrected, a.corr}, {&st.T2C, a.t2c},
+	}
 }
 
 // state serialises the aggregator as the state of the given shard.
 func (a *aggregator) state(shard int) (ShardState, error) {
-	st := ShardState{Shard: shard, Scenarios: a.scenarios, Unrecovered: a.unrecovered}
-	type enc interface{ MarshalBinary() ([]byte, error) }
-	var metrics []struct {
-		dst *[]byte
-		s   enc
+	st := ShardState{
+		Shard: shard, Scenarios: a.scenarios, Unrecovered: a.unrecovered,
+		SumW: a.sumW, SumW2: a.sumW2, SumWX: a.sumWX,
+		SumWX2: a.sumWX2, SumW2X: a.sumW2X, SumW2X2: a.sumW2X2,
 	}
-	if a.weighted {
-		st.Weighted = true
-		st.SumW, st.SumW2 = a.sumW, a.sumW2
-		st.SumWX, st.SumWX2 = a.sumWX, a.sumWX2
-		st.SumW2X, st.SumW2X2 = a.sumW2X, a.sumW2X2
-		metrics = []struct {
-			dst *[]byte
-			s   enc
-		}{
-			{&st.Latency, a.wlat}, {&st.Loss, a.wloss}, {&st.FailedTasks, a.wblast},
-			{&st.Tentative, a.wtent}, {&st.Corrected, a.wcorr}, {&st.T2C, a.wt2c},
-		}
-	} else {
-		metrics = []struct {
-			dst *[]byte
-			s   enc
-		}{
-			{&st.Latency, a.lat}, {&st.Loss, a.loss}, {&st.FailedTasks, a.blast},
-			{&st.Tentative, a.tent}, {&st.Corrected, a.corr}, {&st.T2C, a.t2c},
-		}
-	}
-	for _, m := range metrics {
+	for _, m := range a.metrics(&st) {
 		b, err := m.s.MarshalBinary()
 		if err != nil {
 			return ShardState{}, fmt.Errorf("campaign: encoding shard %d state: %w", shard, err)
 		}
-		*m.dst = b
+		*m.b = b
 	}
 	return st, nil
 }
 
 // decodeState rebuilds the aggregator a ShardState was serialised from.
 func decodeState(st ShardState) (*aggregator, error) {
-	a := newAggregator(st.Weighted)
+	a := newAggregator()
 	a.scenarios, a.unrecovered = st.Scenarios, st.Unrecovered
-	type dec interface{ UnmarshalBinary([]byte) error }
-	var metrics []struct {
-		src []byte
-		s   dec
-	}
-	if st.Weighted {
-		a.sumW, a.sumW2 = st.SumW, st.SumW2
-		a.sumWX, a.sumWX2 = st.SumWX, st.SumWX2
-		a.sumW2X, a.sumW2X2 = st.SumW2X, st.SumW2X2
-		metrics = []struct {
-			src []byte
-			s   dec
-		}{
-			{st.Latency, a.wlat}, {st.Loss, a.wloss}, {st.FailedTasks, a.wblast},
-			{st.Tentative, a.wtent}, {st.Corrected, a.wcorr}, {st.T2C, a.wt2c},
-		}
-	} else {
-		metrics = []struct {
-			src []byte
-			s   dec
-		}{
-			{st.Latency, a.lat}, {st.Loss, a.loss}, {st.FailedTasks, a.blast},
-			{st.Tentative, a.tent}, {st.Corrected, a.corr}, {st.T2C, a.t2c},
-		}
-	}
-	for _, m := range metrics {
-		if err := m.s.UnmarshalBinary(m.src); err != nil {
+	a.sumW, a.sumW2, a.sumWX = st.SumW, st.SumW2, st.SumWX
+	a.sumWX2, a.sumW2X, a.sumW2X2 = st.SumWX2, st.SumW2X, st.SumW2X2
+	for _, m := range a.metrics(&st) {
+		if err := m.s.UnmarshalBinary(*m.b); err != nil {
 			return nil, fmt.Errorf("campaign: decoding shard %d state: %w", st.Shard, err)
 		}
 	}
@@ -341,9 +309,6 @@ func MergeShardStates(states []ShardState) (Summary, error) {
 	for _, st := range sorted[1:] {
 		if st.Shard == prev {
 			return Summary{}, fmt.Errorf("campaign: duplicate state for shard %d", st.Shard)
-		}
-		if st.Weighted != sorted[0].Weighted {
-			return Summary{}, fmt.Errorf("campaign: shard %d weighted=%v mixed with shard %d weighted=%v", st.Shard, st.Weighted, sorted[0].Shard, sorted[0].Weighted)
 		}
 		prev = st.Shard
 		b, err := decodeState(st)

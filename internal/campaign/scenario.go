@@ -13,7 +13,6 @@ package campaign
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -106,9 +105,11 @@ type Scenario struct {
 // cascade waves) — the same explicit-zero contract Correlation has
 // always had.
 type GenSpec struct {
-	// Seed drives all randomness. Scenario i depends only on Seed+i, so
-	// campaigns are reproducible and individual scenarios can be replayed
-	// in isolation.
+	// Seed drives all randomness. Scenario i draws from a
+	// counter-based splitmix64 substream keyed by (Seed, i) (see
+	// substream.go), so campaigns are reproducible, individual
+	// scenarios can be replayed in isolation, and every campaign cell
+	// sharing a seed replays bit-identical failure draws.
 	Seed int64
 	// Scenarios is the number of scenarios to generate.
 	Scenarios int
@@ -130,15 +131,6 @@ type GenSpec struct {
 	// selects the default 2s, Ptr(sim.Time(0)) makes the waves
 	// simultaneous.
 	CascadeLag *sim.Time
-	// CRN switches scenario i's draws to a counter-based splitmix64
-	// substream keyed by (Seed, i) — common random numbers. Unlike the
-	// default math/rand path, the substream derivation is documented
-	// and stable across Go releases, and every campaign cell sharing a
-	// seed replays bit-identical failure draws, which is what makes
-	// paired head-to-head deltas low-variance. Off by default so
-	// existing seeds keep generating the exact scenarios they always
-	// have.
-	CRN bool
 	// Tilt >= 1 turns on importance sampling of rare correlated bursts:
 	// each burst-join draw (KOfRack node joins, Cascade sibling rack
 	// joins) is taken at the tilted probability q = 1-(1-p)^Tilt
@@ -177,37 +169,17 @@ func (s GenSpec) resolve() genParams {
 	return p
 }
 
-// burstRNG is the draw interface of scenario generation, satisfied by
-// both the default *rand.Rand and the CRN splitStream. Generate calls
-// it in a fixed order per scenario, so either source yields a
-// reproducible scenario from (Seed, index) alone.
-type burstRNG interface {
-	Float64() float64
-	Intn(n int) int
-	Perm(n int) []int
-}
-
-// stream returns scenario i's random source: the historical math/rand
-// stream by default (existing seeds keep their scenarios), or the
-// counter-based CRN substream.
-func (s GenSpec) stream(i int) burstRNG {
-	if s.CRN {
-		return newSplitStream(s.Seed, i)
-	}
-	return rand.New(rand.NewSource(s.Seed + int64(i)*1_000_003))
-}
-
 // joiner draws the burst-join Bernoullis of one scenario, tilted to
 // probability q = 1-(1-p)^tilt, and accumulates the likelihood ratio
 // of the draws it made: p/q per join, (1-p)/(1-q) per non-join. With
 // tilt off (0 or 1) q equals p and the weight stays exactly 1.
 type joiner struct {
-	rng  burstRNG
+	rng  *splitStream
 	p, q float64
 	w    float64
 }
 
-func newJoiner(rng burstRNG, p, tilt float64) *joiner {
+func newJoiner(rng *splitStream, p, tilt float64) *joiner {
 	q := p
 	if tilt > 1 {
 		q = 1 - math.Pow(1-p, tilt)
@@ -265,9 +237,9 @@ func Generate(c *cluster.Cluster, spec GenSpec) ([]Scenario, error) {
 
 	out := make([]Scenario, spec.Scenarios)
 	for i := range out {
-		// Per-scenario RNG: scenario i is a pure function of (Seed, i) —
-		// the historical math/rand stream, or the CRN substream.
-		rng := spec.stream(i)
+		// Per-scenario substream: scenario i is a pure function of
+		// (Seed, i).
+		rng := newSplitStream(spec.Seed, i)
 		at := params.failAt + sim.Time(rng.Float64()*params.jitterS)
 		sc := Scenario{Index: i, Model: spec.Model, Weight: 1}
 		switch spec.Model {
@@ -306,7 +278,7 @@ func Generate(c *cluster.Cluster, spec GenSpec) ([]Scenario, error) {
 
 // pickRack draws one rack; Generate pre-filters racks to non-empty
 // ones, so the node list is never empty.
-func pickRack(c *cluster.Cluster, racks []cluster.DomainID, rng burstRNG) (cluster.DomainID, []cluster.NodeID) {
+func pickRack(c *cluster.Cluster, racks []cluster.DomainID, rng *splitStream) (cluster.DomainID, []cluster.NodeID) {
 	rack := racks[rng.Intn(len(racks))]
 	return rack, c.DomainNodes(rack)
 }

@@ -53,14 +53,12 @@ func quantileCIHalfWidth(quantile func(float64) float64, q, neff float64) float6
 // serialised per-shard reduction states, so both arrive at the same
 // decision. Construct with NewStopMonitor.
 type StopMonitor struct {
-	tol      float64
-	blocks   int // total shard blocks of the campaign
-	weighted bool
+	tol    float64
+	blocks int // total shard blocks of the campaign
 
 	next      int // next expected shard index
 	scenarios int // scenarios covered by the observed prefix
-	loss      *sketch.Sketch
-	wloss     *sketch.Weighted
+	loss      *sketch.Weighted
 
 	fired     bool
 	stopShard int
@@ -77,19 +75,13 @@ func NewStopMonitor(cfg Config) *StopMonitor {
 	cfg = cfg.resolved()
 	n := len(cfg.Scenarios)
 	block := blockSize(n, cfg.Shards)
-	m := &StopMonitor{
+	return &StopMonitor{
 		tol:       cfg.StopTol,
 		blocks:    (n + block - 1) / block,
-		weighted:  scenariosWeighted(cfg.Scenarios),
+		loss:      sketch.NewSeededWeighted(SketchK, 2),
 		stopShard: -1,
 		lastHW:    math.Inf(1),
 	}
-	if m.weighted {
-		m.wloss = sketch.NewSeededWeighted(SketchK, 2)
-	} else {
-		m.loss = sketch.NewSeeded(SketchK, 2)
-	}
-	return m
 }
 
 // Observe folds the next shard's state into the monitored prefix and
@@ -103,33 +95,11 @@ func (m *StopMonitor) Observe(st ShardState) error {
 	if st.Shard != m.next {
 		return fmt.Errorf("campaign: stop monitor needs shard %d next, got %d", m.next, st.Shard)
 	}
-	if st.Weighted != m.weighted {
-		return fmt.Errorf("campaign: shard %d weighted=%v, monitor expects %v", st.Shard, st.Weighted, m.weighted)
+	var sh sketch.Weighted
+	if err := sh.UnmarshalBinary(st.Loss); err != nil {
+		return fmt.Errorf("campaign: stop monitor decoding shard %d loss: %w", st.Shard, err)
 	}
-	var neff float64
-	var quant func(float64) float64
-	if m.weighted {
-		var s sketch.Weighted
-		if err := s.UnmarshalBinary(st.Loss); err != nil {
-			return fmt.Errorf("campaign: stop monitor decoding shard %d loss: %w", st.Shard, err)
-		}
-		m.wloss.Merge(&s)
-		// The classic ESS (Σw)²/Σw² is the conservative effective count
-		// for interval width: it never exceeds the scenario count, so a
-		// weighted campaign stops no earlier than its weights justify.
-		if w2 := m.wloss.SumW2(); w2 > 0 {
-			neff = m.wloss.SumW() * m.wloss.SumW() / w2
-		}
-		quant = m.wloss.Quantile
-	} else {
-		var s sketch.Sketch
-		if err := s.UnmarshalBinary(st.Loss); err != nil {
-			return fmt.Errorf("campaign: stop monitor decoding shard %d loss: %w", st.Shard, err)
-		}
-		m.loss.Merge(&s)
-		neff = float64(m.loss.Count())
-		quant = m.loss.Quantile
-	}
+	m.loss.Merge(&sh)
 	m.next++
 	m.scenarios += st.Scenarios
 	// The last block completes the campaign anyway; evaluating there
@@ -137,7 +107,15 @@ func (m *StopMonitor) Observe(st ShardState) error {
 	if m.next >= m.blocks || m.scenarios < stopMinSamples {
 		return nil
 	}
-	m.lastHW = quantileCIHalfWidth(quant, 0.95, neff)
+	// The classic ESS (Σw)²/Σw² is the conservative effective count for
+	// interval width: it never exceeds the scenario count (and equals it
+	// under unit weights), so a weighted campaign stops no earlier than
+	// its weights justify.
+	var neff float64
+	if w2 := m.loss.SumW2(); w2 > 0 {
+		neff = m.loss.SumW() * m.loss.SumW() / w2
+	}
+	m.lastHW = quantileCIHalfWidth(m.loss.Quantile, 0.95, neff)
 	if m.lastHW <= m.tol {
 		m.fired = true
 		m.stopShard = m.next - 1

@@ -12,11 +12,11 @@ import (
 // never on Workers.
 const DefaultShards = 8
 
-// SketchK is the accuracy parameter of the campaign summary sketches:
-// quantiles in Summary are within sketch.RankError() (1% of the
-// scenario count for the default 256) of the exact nearest-rank value,
-// and exact outright for campaigns with at most SketchK samples per
-// metric.
+// SketchK is the accuracy parameter of the campaign summary sketches
+// (sketch.Weighted): quantiles in Summary are exact while a merged
+// summary holds fewer than 4·SketchK samples per metric, and within the
+// rank-error bound 2.56/SketchK (1% of the scenario weight for the
+// default 256) of the exact weighted nearest-rank value beyond.
 const SketchK = sketch.DefaultK
 
 // delayPool recycles the per-scenario correction-delay buffers on the
@@ -121,110 +121,50 @@ func (st *streamer) abort() {
 }
 
 // aggregator folds scenario results of one reduction shard into
-// mergeable summary sketches — constant memory per shard, independent
-// of the scenario count. An unweighted campaign (every scenario weight
-// exactly 1, the historical default) uses the exact-count Sketch path
-// bit-identically to before; an importance-sampled campaign (any
-// scenario carrying a non-unit likelihood ratio) switches every metric
-// to the weighted summaries and additionally folds the exact moment
-// counters behind the effective-sample-size estimate.
+// mergeable weighted summaries — constant memory per shard,
+// independent of the scenario count. Every sample carries its
+// scenario's importance weight; an untilted campaign is the same path
+// with w = 1, which makes every mean exact and the effective sample
+// size exactly the scenario count.
 type aggregator struct {
 	scenarios   int
 	unrecovered int
-	weighted    bool
 
-	// Unweighted metric sketches (weighted == false).
-	lat   *sketch.Sketch
-	loss  *sketch.Sketch
-	blast *sketch.Sketch
-	tent  *sketch.Sketch
-	corr  *sketch.Sketch
-	t2c   *sketch.Sketch
+	lat   *sketch.Weighted
+	loss  *sketch.Weighted
+	blast *sketch.Weighted
+	tent  *sketch.Weighted
+	corr  *sketch.Weighted
+	t2c   *sketch.Weighted
 
-	// Weighted metric summaries (weighted == true).
-	wlat   *sketch.Weighted
-	wloss  *sketch.Weighted
-	wblast *sketch.Weighted
-	wtent  *sketch.Weighted
-	wcorr  *sketch.Weighted
-	wt2c   *sketch.Weighted
-
-	// Exact moment counters over (weight, OutputLoss), maintained on
-	// the weighted path only and folded in shard order like everything
-	// else: Σw, Σw², Σwx, Σwx², Σw²x, Σw²x². They determine both the
-	// classic ESS (Σw)²/Σw² and the variance-ratio ESS reported in
-	// Summary.ESS.
+	// Exact moment counters over (weight, OutputLoss), folded in shard
+	// order like everything else: Σw, Σw², Σwx, Σwx², Σw²x, Σw²x². They
+	// determine both the classic ESS (Σw)²/Σw² and the variance-ratio
+	// ESS reported in Summary.ESS.
 	sumW, sumW2, sumWX, sumWX2, sumW2X, sumW2X2 float64
 }
 
 // newAggregator builds one shard accumulator. Every shard seeds each
-// metric's sketch identically, so shard sketches merge into the same
+// metric's summary identically, so shard summaries merge into the same
 // deterministic state regardless of which shard the merge starts from.
-func newAggregator(weighted bool) *aggregator {
-	a := &aggregator{weighted: weighted}
-	if weighted {
-		a.wlat = sketch.NewSeededWeighted(SketchK, 1)
-		a.wloss = sketch.NewSeededWeighted(SketchK, 2)
-		a.wblast = sketch.NewSeededWeighted(SketchK, 3)
-		a.wtent = sketch.NewSeededWeighted(SketchK, 4)
-		a.wcorr = sketch.NewSeededWeighted(SketchK, 5)
-		a.wt2c = sketch.NewSeededWeighted(SketchK, 6)
-		return a
+func newAggregator() *aggregator {
+	return &aggregator{
+		lat:   sketch.NewSeededWeighted(SketchK, 1),
+		loss:  sketch.NewSeededWeighted(SketchK, 2),
+		blast: sketch.NewSeededWeighted(SketchK, 3),
+		tent:  sketch.NewSeededWeighted(SketchK, 4),
+		corr:  sketch.NewSeededWeighted(SketchK, 5),
+		t2c:   sketch.NewSeededWeighted(SketchK, 6),
 	}
-	a.lat = sketch.NewSeeded(SketchK, 1)
-	a.loss = sketch.NewSeeded(SketchK, 2)
-	a.blast = sketch.NewSeeded(SketchK, 3)
-	a.tent = sketch.NewSeeded(SketchK, 4)
-	a.corr = sketch.NewSeeded(SketchK, 5)
-	a.t2c = sketch.NewSeeded(SketchK, 6)
-	return a
 }
 
-// scenariosWeighted reports whether any scenario carries a non-unit
-// importance weight. Every process of a distributed campaign scans the
-// full regenerated scenario list — never its own range — so all sides
-// agree on the aggregation mode.
-func scenariosWeighted(scs []Scenario) bool {
-	for i := range scs {
-		if w := scs[i].Weight; w != 0 && w != 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// add folds one scenario result (same metric semantics as the old
-// exact summarise: latency only over recovered scenarios that lost
-// tasks, corrected fraction only over scenarios with tentative
-// output, delays pooled across scenarios).
+// add folds one scenario result: latency only over recovered
+// scenarios that lost tasks, corrected fraction only over scenarios
+// with tentative output, delays pooled across scenarios. Every sample
+// carries the scenario's likelihood ratio (zero, from hand-built
+// scenarios, counts as 1).
 func (a *aggregator) add(r *ScenarioResult) {
 	a.scenarios++
-	if a.weighted {
-		a.addWeighted(r)
-		return
-	}
-	a.loss.Add(r.OutputLoss)
-	a.blast.Add(float64(r.FailedTasks))
-	a.tent.Add(r.TentativeFrac)
-	if r.TentativeFrac > 0 {
-		a.corr.Add(r.CorrectedFrac)
-	}
-	for _, d := range r.CorrectionDelays {
-		a.t2c.Add(d)
-	}
-	if !r.Recovered {
-		a.unrecovered++
-		return
-	}
-	if r.FailedTasks > 0 {
-		a.lat.Add(float64(r.WorstLatency))
-	}
-}
-
-// addWeighted is add for importance-sampled campaigns: every metric
-// sample carries the scenario's likelihood ratio (zero, from hand-built
-// scenarios, counts as 1).
-func (a *aggregator) addWeighted(r *ScenarioResult) {
 	w := r.Scenario.Weight
 	if w == 0 {
 		w = 1
@@ -236,21 +176,21 @@ func (a *aggregator) addWeighted(r *ScenarioResult) {
 	a.sumWX2 += w * x * x
 	a.sumW2X += w * w * x
 	a.sumW2X2 += w * w * x * x
-	a.wloss.Add(x, w)
-	a.wblast.Add(float64(r.FailedTasks), w)
-	a.wtent.Add(r.TentativeFrac, w)
+	a.loss.Add(x, w)
+	a.blast.Add(float64(r.FailedTasks), w)
+	a.tent.Add(r.TentativeFrac, w)
 	if r.TentativeFrac > 0 {
-		a.wcorr.Add(r.CorrectedFrac, w)
+		a.corr.Add(r.CorrectedFrac, w)
 	}
 	for _, d := range r.CorrectionDelays {
-		a.wt2c.Add(d, w)
+		a.t2c.Add(d, w)
 	}
 	if !r.Recovered {
 		a.unrecovered++
 		return
 	}
 	if r.FailedTasks > 0 {
-		a.wlat.Add(float64(r.WorstLatency), w)
+		a.lat.Add(float64(r.WorstLatency), w)
 	}
 }
 
@@ -258,21 +198,12 @@ func (a *aggregator) addWeighted(r *ScenarioResult) {
 func (a *aggregator) merge(b *aggregator) {
 	a.scenarios += b.scenarios
 	a.unrecovered += b.unrecovered
-	if a.weighted {
-		a.sumW += b.sumW
-		a.sumW2 += b.sumW2
-		a.sumWX += b.sumWX
-		a.sumWX2 += b.sumWX2
-		a.sumW2X += b.sumW2X
-		a.sumW2X2 += b.sumW2X2
-		a.wlat.Merge(b.wlat)
-		a.wloss.Merge(b.wloss)
-		a.wblast.Merge(b.wblast)
-		a.wtent.Merge(b.wtent)
-		a.wcorr.Merge(b.wcorr)
-		a.wt2c.Merge(b.wt2c)
-		return
-	}
+	a.sumW += b.sumW
+	a.sumW2 += b.sumW2
+	a.sumWX += b.sumWX
+	a.sumWX2 += b.sumWX2
+	a.sumW2X += b.sumW2X
+	a.sumW2X2 += b.sumW2X2
 	a.lat.Merge(b.lat)
 	a.loss.Merge(b.loss)
 	a.blast.Merge(b.blast)
@@ -281,21 +212,19 @@ func (a *aggregator) merge(b *aggregator) {
 	a.t2c.Merge(b.t2c)
 }
 
-// ess returns the campaign's effective sample size. For an unweighted
-// campaign every scenario contributes one full sample: ESS = N. For an
-// importance-sampled campaign it is the variance-ratio ESS of the
-// self-normalised loss estimator — naive-Monte-Carlo variance over
-// importance-sampling variance — i.e. the number of plain scenarios
-// that would estimate the mean loss equally well. With
+// ess returns the campaign's effective sample size: the variance-ratio
+// ESS of the self-normalised loss estimator — naive-Monte-Carlo
+// variance over importance-sampling variance — i.e. the number of
+// plain scenarios that would estimate the mean loss equally well. With
 // Sw = Σw, μ = Σwx/Σw, A = Σw(x-μ)² and B = Σw²(x-μ)²:
-// ESS = A·Sw/B (delta-method variance of the reweighted mean). A good
-// tilt makes this EXCEED N — the whole point of tilting — where the
-// classic (Σw)²/Σw² (the fallback when the loss is empirically
-// constant, B = 0) can only reach N.
+// ESS = (A/B)·Sw (delta-method variance of the reweighted mean). A
+// good tilt makes this EXCEED N — the whole point of tilting — where
+// the classic (Σw)²/Σw² (the fallback when the loss is empirically
+// constant, B = 0) can only reach N. With unit weights A and B are
+// computed from bit-identical counters, so A/B is exactly 1 and the
+// ESS is exactly N (the ratio is taken first for that reason:
+// (A·N)/A need not round back to N).
 func (a *aggregator) ess() float64 {
-	if !a.weighted {
-		return float64(a.scenarios)
-	}
 	if a.sumW <= 0 {
 		return 0
 	}
@@ -305,51 +234,28 @@ func (a *aggregator) ess() float64 {
 	if varB <= 0 || varA <= 0 {
 		return a.sumW * a.sumW / a.sumW2
 	}
-	return varA * a.sumW / varB
+	return (varA / varB) * a.sumW
 }
 
 func (a *aggregator) summary() Summary {
-	s := Summary{
-		Scenarios:   a.scenarios,
-		Unrecovered: a.unrecovered,
-		ESS:         a.ess(),
-	}
-	if a.weighted {
-		s.Latency = wdistOf(a.wlat)
-		s.Loss = wdistOf(a.wloss)
-		s.FailedTasks = wdistOf(a.wblast)
-		s.TentativeFrac = wdistOf(a.wtent)
-		s.CorrectedFrac = wdistOf(a.wcorr)
-		s.TimeToCorrection = wdistOf(a.wt2c)
-		return s
-	}
-	s.Latency = distOf(a.lat)
-	s.Loss = distOf(a.loss)
-	s.FailedTasks = distOf(a.blast)
-	s.TentativeFrac = distOf(a.tent)
-	s.CorrectedFrac = distOf(a.corr)
-	s.TimeToCorrection = distOf(a.t2c)
-	return s
-}
-
-// distOf renders one metric sketch as the summary distribution. Mean
-// and Max are exact; quantiles carry the sketch's rank-error bound.
-func distOf(s *sketch.Sketch) Dist {
-	if s.Count() == 0 {
-		return Dist{}
-	}
-	return Dist{
-		Mean: s.Mean(),
-		P50:  s.Quantile(0.50),
-		P95:  s.Quantile(0.95),
-		P99:  s.Quantile(0.99),
-		Max:  s.Max(),
+	return Summary{
+		Scenarios:        a.scenarios,
+		Unrecovered:      a.unrecovered,
+		ESS:              a.ess(),
+		Latency:          distOf(a.lat),
+		Loss:             distOf(a.loss),
+		FailedTasks:      distOf(a.blast),
+		TentativeFrac:    distOf(a.tent),
+		CorrectedFrac:    distOf(a.corr),
+		TimeToCorrection: distOf(a.t2c),
 	}
 }
 
-// wdistOf is distOf for the weighted summaries: means and quantiles
-// are taken against the reweighted (nominal) distribution.
-func wdistOf(s *sketch.Weighted) Dist {
+// distOf renders one metric summary as the summary distribution: means
+// and quantiles are taken against the reweighted (nominal)
+// distribution. Mean and Max are exact; quantiles carry the summary's
+// rank-error bound.
+func distOf(s *sketch.Weighted) Dist {
 	if s.Count() == 0 {
 		return Dist{}
 	}

@@ -119,7 +119,7 @@ func reduceSynthetic(t *testing.T, results []ScenarioResult, workers, shards int
 	t.Helper()
 	aggs := make([]*aggregator, shards)
 	for s := range aggs {
-		aggs[s] = newAggregator(false)
+		aggs[s] = newAggregator()
 	}
 	block := blockSize(len(results), shards)
 	st := newStreamer(64, func(i int, e *entry) { aggs[i/block].add(&e.res) })
@@ -167,6 +167,46 @@ func TestShardedReductionCrossCheck(t *testing.T) {
 	checkDistWithinBound(t, "t2c", sum.TimeToCorrection, exact.TimeToCorrection, t2c, eps)
 }
 
+// TestUnitWeightSummaryExact: an unweighted campaign is the weighted
+// path with w = 1, and that fold must be exact, not merely close: the
+// effective sample size equals the scenario count (the variance-ratio
+// form rounds (A·N)/B off N for some loss streams unless the ratio is
+// taken first) and the mean loss equals the exact mean bit for bit.
+func TestUnitWeightSummaryExact(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		results := syntheticResults(50+int(seed)%400, seed)
+		if seed%3 == 0 {
+			// Zero-heavy losses, as in campaigns where most bursts miss
+			// every primary.
+			for i := range results {
+				if i%4 != 0 {
+					results[i].OutputLoss = 0
+				}
+			}
+		}
+		for _, shards := range []int{1, DefaultShards} {
+			sum := reduceSynthetic(t, results, 2, shards)
+			if sum.ESS != float64(sum.Scenarios) {
+				t.Fatalf("seed %d shards %d: ESS %v, want exactly %d", seed, shards, sum.ESS, sum.Scenarios)
+			}
+			// The exact mean under the shard fold: per-shard sums in
+			// index order, added in shard order.
+			block := blockSize(len(results), shards)
+			var total float64
+			for lo := 0; lo < len(results); lo += block {
+				var part float64
+				for i := lo; i < lo+block && i < len(results); i++ {
+					part += results[i].OutputLoss
+				}
+				total += part
+			}
+			if want := total / float64(len(results)); sum.Loss.Mean != want {
+				t.Fatalf("seed %d shards %d: mean loss %v, want exactly %v", seed, shards, sum.Loss.Mean, want)
+			}
+		}
+	}
+}
+
 // TestShardedReductionDeterminism: for a fixed shard count the summary
 // is bit-identical at any worker count; the exact aggregates are also
 // shard-count-independent.
@@ -203,11 +243,16 @@ func TestCampaignStreamsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []int
+	var losses []float64
 	rep, err := Run(Config{
 		Setup:     env.Setup,
 		Scenarios: scenarios,
 		Horizon:   90,
-		OnResult:  func(r ScenarioResult) { seen = append(seen, r.Scenario.Index) },
+		Shards:    1,
+		OnResult: func(r ScenarioResult) {
+			seen = append(seen, r.Scenario.Index)
+			losses = append(losses, r.OutputLoss)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +270,18 @@ func TestCampaignStreamsInOrder(t *testing.T) {
 	}
 	if rep.Summary.Scenarios != 24 {
 		t.Fatalf("summary covers %d scenarios", rep.Summary.Scenarios)
+	}
+	// Unweighted summaries are exact where they claim to be: ESS is the
+	// scenario count and the mean is the plain in-order mean.
+	if rep.Summary.ESS != 24 {
+		t.Fatalf("unweighted ESS = %v, want exactly 24", rep.Summary.ESS)
+	}
+	var sum float64
+	for _, x := range losses {
+		sum += x
+	}
+	if want := sum / 24; rep.Summary.Loss.Mean != want {
+		t.Fatalf("mean loss %v, want exactly %v", rep.Summary.Loss.Mean, want)
 	}
 }
 

@@ -2,17 +2,24 @@ package campaign
 
 import "math/bits"
 
-// Common-random-numbers substreams. A splitStream is a counter-based
-// splitmix64 generator keyed by (sweep seed, scenario index): scenario
-// i's burst and jitter draws are a pure function of that pair, with no
-// sequential generator state shared between scenarios. Two campaign
-// cells (planner × placement) built over the same seed therefore
-// replay bit-identical failure draws — the common-random-numbers
-// pairing that makes head-to-head deltas low-variance — and a
-// distributed range [lo, hi) needs no substream offset or skip-ahead:
-// every process derives scenario i's stream from (seed, i) alone.
-// The derivation mirrors internal/sketch's compaction coins: a
-// golden-ratio-stepped counter finalised by mix64.
+// Scenario substreams: the only random source of scenario generation.
+// A splitStream is a counter-based splitmix64 generator keyed by
+// (sweep seed, scenario index): scenario i's burst and jitter draws are
+// a pure function of that pair, with no sequential generator state
+// shared between scenarios. Two campaign cells (planner × placement)
+// built over the same seed therefore replay bit-identical failure
+// draws — the common-random-numbers pairing that makes head-to-head
+// deltas (Paired) low-variance — and a distributed range [lo, hi)
+// needs no substream offset or skip-ahead: every process derives
+// scenario i's stream from (seed, i) alone.
+//
+// Derivation: state₀ = mix(mix(seed) ⊕ mix(index + γ)) with γ the
+// golden-ratio constant 0x9e3779b97f4a7c15 and mix the splitmix64
+// finaliser; draw j returns mix(state₀ + (j+1)·γ). The seed and the
+// index pass through separate mix rounds, so no linear relation between
+// them aliases two streams (a key such as seed + index·c would make
+// (s, i+1) replay (s+c, i)), and all 64 seed bits count. The derivation mirrors internal/sketch's compaction
+// coins and is stable across Go releases.
 type splitStream struct {
 	state uint64
 }
@@ -21,15 +28,15 @@ type splitStream struct {
 // through separate mix rounds so adjacent indices (and adjacent seeds)
 // decorrelate fully before the first draw.
 func newSplitStream(seed int64, index int) *splitStream {
-	s := crnMix(uint64(seed))
-	s = crnMix(s ^ crnMix(uint64(index)+0x9e3779b97f4a7c15))
+	s := splitMix64(uint64(seed))
+	s = splitMix64(s ^ splitMix64(uint64(index)+0x9e3779b97f4a7c15))
 	return &splitStream{state: s}
 }
 
 // next advances the splitmix64 counter and returns the finalised word.
 func (s *splitStream) next() uint64 {
 	s.state += 0x9e3779b97f4a7c15
-	return crnMix(s.state)
+	return splitMix64(s.state)
 }
 
 // Float64 returns a uniform draw in [0, 1) with 53 random bits.
@@ -65,9 +72,9 @@ func (s *splitStream) Perm(n int) []int {
 	return p
 }
 
-// crnMix is the splitmix64 finalizer (same constants as
+// splitMix64 is the splitmix64 finaliser (same constants as
 // internal/sketch's coin mixer).
-func crnMix(z uint64) uint64 {
+func splitMix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27

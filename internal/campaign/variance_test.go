@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/plan"
 	"repro/internal/topology"
 )
 
@@ -31,24 +32,29 @@ func smallCluster(t *testing.T) *cluster.Cluster {
 	return c
 }
 
-// TestCRNPairingIdenticalAcrossPlanners is the CRN property test: two
-// campaign cells that differ in planner and replica placement — the
-// head-to-head axes — draw bit-identical failure scenarios (waves,
-// labels, weights) from the same CRN seed, because scenario i is a
-// pure function of (Seed, i) and the identically laid-out cluster.
+// TestCRNPairingIdenticalAcrossPlanners is the common-random-numbers
+// property test: by default, every planner × placement cell — the
+// head-to-head axes — sharing a seed draws bit-identical failure
+// scenarios (waves, labels, weights), because scenario i is a pure
+// function of (Seed, i) and the identically laid-out cluster.
 func TestCRNPairingIdenticalAcrossPlanners(t *testing.T) {
 	topo, err := PresetTopology(TopoSmall, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := GenSpec{Seed: 99, Scenarios: 64, Model: Cascade, Correlation: 0.3, CRN: true, Tilt: 3}
+	spec := GenSpec{Seed: 99, Scenarios: 64, Model: Cascade, Correlation: 0.3, Tilt: 3}
 	var first []Scenario
-	for _, planner := range []string{"greedy", "sa-corr"} {
+	cells := 0
+	for _, planner := range plan.Names() {
 		for _, placement := range cluster.PlacementPolicies {
 			env, err := NewEnv(EnvSpec{Topo: topo, Planner: planner, Placement: placement})
 			if err != nil {
-				t.Fatal(err)
+				// Planners restricted to some topology shapes (full
+				// needs Full partitioning throughout) have no cell here.
+				t.Logf("skipping %s/%s: %v", planner, placement, err)
+				continue
 			}
+			cells++
 			c, err := env.Cluster()
 			if err != nil {
 				t.Fatal(err)
@@ -62,19 +68,23 @@ func TestCRNPairingIdenticalAcrossPlanners(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(scs, first) {
-				t.Fatalf("%s/%s drew different CRN scenarios than the first cell", planner, placement)
+				t.Fatalf("%s/%s drew different scenarios than the first cell", planner, placement)
 			}
 		}
 	}
+	if cells < len(cluster.PlacementPolicies)*(len(plan.Names())-1) {
+		t.Fatalf("only %d planner × placement cells could be built", cells)
+	}
 }
 
-// TestCRNSubstreamProperties: CRN scenarios are derived per index, not
-// sequentially, so a campaign prefix regenerates bit-identically at
-// any campaign size — the property that lets distributed ranges
-// regenerate scenarios without substream offsets.
+// TestCRNSubstreamProperties: default generation derives scenarios
+// per index, not sequentially, so a campaign prefix regenerates
+// bit-identically at any campaign size — the property that lets
+// distributed ranges regenerate scenarios without substream offsets —
+// and the derivation is pinned: no seed/index pair aliases another.
 func TestCRNSubstreamProperties(t *testing.T) {
 	c := smallCluster(t)
-	spec := GenSpec{Seed: 7, Scenarios: 40, Model: KOfRack, Correlation: 0.4, CRN: true}
+	spec := GenSpec{Seed: 7, Scenarios: 40, Model: KOfRack, Correlation: 0.4}
 	a, err := Generate(c, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +99,7 @@ func TestCRNSubstreamProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a[:17], b) {
-		t.Fatal("CRN scenarios are not prefix-stable in the campaign size")
+		t.Fatal("scenarios are not prefix-stable in the campaign size")
 	}
 	// Replays are bit-identical.
 	a2, err := Generate(c, spec)
@@ -97,12 +107,31 @@ func TestCRNSubstreamProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, a2) {
-		t.Fatal("CRN generation is not reproducible")
+		t.Fatal("generation is not reproducible")
 	}
-	// Untilted generation carries unit weights on both RNG paths.
+	// Untilted generation carries unit weights.
 	for _, sc := range a {
 		if sc.Weight != 1 {
-			t.Fatalf("untilted CRN scenario %d has weight %v, want 1", sc.Index, sc.Weight)
+			t.Fatalf("untilted scenario %d has weight %v, want 1", sc.Index, sc.Weight)
+		}
+	}
+	// No seed aliasing: the old key Seed + i·1_000_003 made (s, i+1)
+	// replay (s+1_000_003, i); the substream keys seed and index
+	// through separate mix rounds.
+	x, y := newSplitStream(7, 1), newSplitStream(7+1_000_003, 0)
+	if x.next() == y.next() {
+		t.Fatal("(seed, index+1) aliases (seed+1_000_003, index)")
+	}
+	// Pinned derivation (see substream.go): the documented splitmix64
+	// keying is part of the reproducibility contract, so its first
+	// words are fixed across releases.
+	for _, tc := range []struct {
+		seed  int64
+		index int
+		want  uint64
+	}{{0, 0, 0x568a9b0b1a2c05ec}, {-5, 123456, 0xcf732fab6ce77c63}} {
+		if got := newSplitStream(tc.seed, tc.index).next(); got != tc.want {
+			t.Fatalf("substream (%d, %d) first word %#x, want %#x", tc.seed, tc.index, got, tc.want)
 		}
 	}
 }
@@ -126,11 +155,11 @@ func TestReweightedMeanMatchesMonteCarlo10k(t *testing.T) {
 	c := smallCluster(t)
 	const n = 10_000
 	for _, model := range []Model{KOfRack, Cascade} {
-		plain, err := Generate(c, GenSpec{Seed: 3, Scenarios: n, Model: model, Correlation: 0.15, CRN: true})
+		plain, err := Generate(c, GenSpec{Seed: 3, Scenarios: n, Model: model, Correlation: 0.15})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tilted, err := Generate(c, GenSpec{Seed: 4, Scenarios: n, Model: model, Correlation: 0.15, CRN: true, Tilt: 6})
+		tilted, err := Generate(c, GenSpec{Seed: 4, Scenarios: n, Model: model, Correlation: 0.15, Tilt: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +208,7 @@ func TestReweightedMeanMatchesMonteCarlo10k(t *testing.T) {
 }
 
 // TestWeightedCampaignDeterministicAcrossWorkers pins the acceptance
-// bit: with CRN, tilting and early stopping all enabled, the summary
+// bit: with tilting and early stopping both enabled, the summary
 // digest is identical across worker counts and engine-reuse modes.
 func TestWeightedCampaignDeterministicAcrossWorkers(t *testing.T) {
 	topo, err := PresetTopology(TopoSmall, 11)
@@ -194,7 +223,7 @@ func TestWeightedCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scs, err := Generate(c, GenSpec{Seed: 17, Scenarios: 120, Model: Cascade, Correlation: 0.1, CRN: true, Tilt: 4})
+	scs, err := Generate(c, GenSpec{Seed: 17, Scenarios: 120, Model: Cascade, Correlation: 0.1, Tilt: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +292,7 @@ func TestStopMonitorContract(t *testing.T) {
 	}
 	mon := NewStopMonitor(cfg)
 	mk := func(shard, scenarios int) ShardState {
-		a := newAggregator(false)
+		a := newAggregator()
 		for i := 0; i < scenarios; i++ {
 			a.add(&ScenarioResult{Recovered: true, OutputLoss: 0.25})
 		}

@@ -28,8 +28,9 @@ import (
 
 // ProtoVersion is the wire protocol version. A worker opens with a
 // hello carrying its version; the coordinator drops connections whose
-// version does not match.
-const ProtoVersion = 1
+// version does not match. Version 2: every shard state carries
+// sketch.Weighted summaries plus the moment counters.
+const ProtoVersion = 2
 
 // Message types. Coordinator to worker: job (the campaign WireSpec),
 // assign (one scenario range), cancel, shutdown. Worker to

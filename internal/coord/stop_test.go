@@ -119,18 +119,18 @@ func TestStoppedCellSchedulesNoFurtherRanges(t *testing.T) {
 	}
 }
 
-// TestWeightedCRNDistributedMatches: a campaign with CRN substreams
-// and a tilted cascade sampler — the full variance-reduction stack —
-// still merges bit-identically to the single-process run, weighted
-// summaries, ESS and all.
+// TestWeightedCRNDistributedMatches: a campaign over the default
+// (Seed, i) substreams with a tilted cascade sampler — the full
+// variance-reduction stack — still merges bit-identically to the
+// single-process run, weighted summaries, ESS and all.
 func TestWeightedCRNDistributedMatches(t *testing.T) {
 	topo, err := campaign.PresetTopology(campaign.TopoSmall, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec, err := campaign.NewWireSpec(campaign.EnvSpec{Topo: topo, Planner: "greedy", Tentative: true}, []campaign.GenSpec{
-		{Seed: 5, Scenarios: 12, Model: campaign.KOfRack, Correlation: 0.1, CRN: true, Tilt: 4},
-		{Seed: 5, Scenarios: 12, Model: campaign.Cascade, Correlation: 0.1, CRN: true, Tilt: 4},
+		{Seed: 5, Scenarios: 12, Model: campaign.KOfRack, Correlation: 0.1, Tilt: 4},
+		{Seed: 5, Scenarios: 12, Model: campaign.Cascade, Correlation: 0.1, Tilt: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

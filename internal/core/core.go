@@ -38,7 +38,7 @@ const (
 	AlgorithmPortfolio
 
 	// AlgorithmOther marks a Result produced by a registry planner with
-	// no Algorithm enum value (structured, full, brute, or a
+	// no Algorithm enum value (structured, full, or a
 	// user-registered planner); Result.Planner carries the name.
 	AlgorithmOther Algorithm = -1
 )

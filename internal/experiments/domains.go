@@ -26,32 +26,6 @@ import (
 // results are never retained — so memory stays flat in n and
 // million-scenario cells are purely a wall-clock cost.
 func DomainSweep(planners []string, placements []cluster.PlacementPolicy, n int, seed int64) (Result, error) {
-	return DomainSweepOpts(planners, placements, n, seed, SweepOptions{})
-}
-
-// SweepOptions are DomainSweep's variance-engineering knobs. The zero
-// value reproduces the historical sweep exactly.
-type SweepOptions struct {
-	// CRN generates every cell's scenarios from common-random-number
-	// substreams (GenSpec.CRN): all planner × placement cells replay
-	// bit-identical failure draws per (model, scenario index). The sweep
-	// then appends paired-difference series per non-base cell — Δmean
-	// loss and Δp95 latency against the first cell, with 95% CI
-	// half-widths — whose variance is far below two independent cells'.
-	CRN bool
-	// Tilt >= 1 importance-samples rare cascades (GenSpec.Tilt); the
-	// reported summaries are reweighted to the nominal correlation.
-	Tilt float64
-	// StopTol > 0 enables CI-driven early stopping per cell
-	// (campaign.Config.StopTol): a cell halts at the first shard-block
-	// checkpoint where the p95-loss CI half-width is within StopTol.
-	StopTol float64
-}
-
-// DomainSweepOpts is DomainSweep with the variance-reduction stack
-// switched on per opts: CRN pairing, tilted cascade sampling and
-// CI-driven early stopping.
-func DomainSweepOpts(planners []string, placements []cluster.PlacementPolicy, n int, seed int64, opts SweepOptions) (Result, error) {
 	if len(placements) == 0 {
 		placements = cluster.PlacementPolicies
 	}
@@ -69,19 +43,6 @@ func DomainSweepOpts(planners []string, placements []cluster.PlacementPolicy, n 
 	// on placement or burst model: one cached baseline simulation per
 	// planner serves the whole sweep.
 	baselines := campaign.NewBaselineCache()
-	// With CRN, the first cell of the sweep becomes the head-to-head
-	// base: its per-scenario losses and latencies are retained (O(n) per
-	// model — a reporting cost, not a campaign cost) and every other
-	// cell reports paired-difference series against it.
-	type baseMetrics struct {
-		loss, lat []float64
-		seen      []bool
-	}
-	var crnBase map[campaign.Model]*baseMetrics
-	if opts.CRN {
-		crnBase = make(map[campaign.Model]*baseMetrics)
-	}
-	firstCell := true
 	for _, planner := range planners {
 		// One env per planner: the plan (and the failure-free baseline)
 		// is independent of replica placement, so the placement sweep
@@ -100,60 +61,23 @@ func DomainSweepOpts(planners []string, placements []cluster.PlacementPolicy, n 
 			loss := Series{Name: cell + "-loss"}
 			tent := Series{Name: cell + "-tent"}
 			corr := Series{Name: cell + "-corr"}
-			dloss := Series{Name: cell + "-dp95loss"}
-			dlossCI := Series{Name: cell + "-dp95loss-ci"}
-			dlat := Series{Name: cell + "-dlat"}
-			dlatCI := Series{Name: cell + "-dlat-ci"}
 			for _, model := range campaign.Models {
 				scenarios, err := campaign.Generate(sample, campaign.GenSpec{
 					Seed:        seed,
 					Scenarios:   n,
 					Model:       model,
 					Correlation: campaign.DefaultCorrelation,
-					CRN:         opts.CRN,
-					Tilt:        opts.Tilt,
 				})
 				if err != nil {
 					return Result{}, err
 				}
-				cfg := campaign.Config{
+				rep, err := campaign.Run(campaign.Config{
 					Setup:       env.SetupFor(placement),
 					Scenarios:   scenarios,
 					Horizon:     150,
 					Baselines:   baselines,
 					BaselineKey: planner,
-					StopTol:     opts.StopTol,
-				}
-				var pairLoss, pairLat *campaign.Paired
-				if opts.CRN {
-					if firstCell {
-						bm := &baseMetrics{
-							loss: make([]float64, n),
-							lat:  make([]float64, n),
-							seen: make([]bool, n),
-						}
-						crnBase[model] = bm
-						cfg.OnResult = func(r campaign.ScenarioResult) {
-							i := r.Scenario.Index
-							bm.loss[i], bm.lat[i], bm.seen[i] = r.OutputLoss, float64(r.WorstLatency), true
-						}
-					} else {
-						bm := crnBase[model]
-						pairLoss, pairLat = campaign.NewPaired(n), campaign.NewPaired(n)
-						for i, ok := range bm.seen {
-							if ok {
-								pairLoss.ObserveBase(i, bm.loss[i])
-								pairLat.ObserveBase(i, bm.lat[i])
-							}
-						}
-						cfg.OnResult = func(r campaign.ScenarioResult) {
-							i := r.Scenario.Index
-							pairLoss.ObserveOther(i, r.OutputLoss)
-							pairLat.ObserveOther(i, float64(r.WorstLatency))
-						}
-					}
-				}
-				rep, err := campaign.Run(cfg)
+				})
 				if err != nil {
 					return Result{}, fmt.Errorf("experiments: %s/%s campaign: %w", cell, model, err)
 				}
@@ -161,19 +85,8 @@ func DomainSweepOpts(planners []string, placements []cluster.PlacementPolicy, n 
 				loss.Points = append(loss.Points, Point{X: model.String(), Y: rep.Summary.Loss.Mean})
 				tent.Points = append(tent.Points, Point{X: model.String(), Y: rep.Summary.TentativeFrac.Mean})
 				corr.Points = append(corr.Points, Point{X: model.String(), Y: rep.Summary.CorrectedFrac.Mean})
-				if pairLoss != nil {
-					ps, pl := pairLoss.Summary(), pairLat.Summary()
-					dloss.Points = append(dloss.Points, Point{X: model.String(), Y: ps.DeltaP95})
-					dlossCI.Points = append(dlossCI.Points, Point{X: model.String(), Y: ps.DeltaP95CI})
-					dlat.Points = append(dlat.Points, Point{X: model.String(), Y: pl.MeanDelta})
-					dlatCI.Points = append(dlatCI.Points, Point{X: model.String(), Y: pl.MeanCI})
-				}
 			}
 			res.Series = append(res.Series, lat, loss, tent, corr)
-			if len(dloss.Points) > 0 {
-				res.Series = append(res.Series, dloss, dlossCI, dlat, dlatCI)
-			}
-			firstCell = false
 		}
 	}
 	return res, nil

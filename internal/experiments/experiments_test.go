@@ -275,35 +275,3 @@ func TestDomainSweepShape(t *testing.T) {
 		}
 	}
 }
-
-// TestDomainSweepOptsPaired: with CRN on, every non-base cell carries
-// paired-difference series (Δp95 loss, Δmean latency, each with a CI
-// half-width) against the sweep's first cell, and the paired CI on the
-// self-comparison collapses to zero because both cells replay
-// identical draws through an identical configuration.
-func TestDomainSweepOptsPaired(t *testing.T) {
-	r, err := DomainSweepOpts([]string{"greedy"}, cluster.PlacementPolicies, 6, 1,
-		SweepOptions{CRN: true, Tilt: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two cells: base gets 4 series, the other 4 + 4 paired-delta.
-	if len(r.Series) != 12 {
-		t.Fatalf("%d series, want 12 (%v)", len(r.Series), names(r))
-	}
-	cell := "greedy/" + cluster.PlacementRoundRobin.String()
-	for _, suffix := range []string{"-dp95loss", "-dp95loss-ci", "-dlat", "-dlat-ci"} {
-		found := false
-		for _, s := range r.Series {
-			if s.Name == cell+suffix {
-				found = true
-				if len(s.Points) != 4 {
-					t.Fatalf("series %q has %d points, want one per burst model", s.Name, len(s.Points))
-				}
-			}
-		}
-		if !found {
-			t.Fatalf("missing paired series %q (%v)", cell+suffix, names(r))
-		}
-	}
-}

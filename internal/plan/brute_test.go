@@ -7,26 +7,23 @@ import (
 	"repro/internal/topology"
 )
 
-// ErrTooLarge is returned by the brute-force planner when the topology
+// errTooLarge is returned by the brute-force oracle when the topology
 // exceeds the feasible exhaustive-search size.
-var ErrTooLarge = errors.New("plan: topology too large for brute-force search")
+var errTooLarge = errors.New("plan: topology too large for brute-force search")
 
-// Brute exhaustively searches every subset of at most budget tasks and
-// returns a plan with the maximal worst-case OF (ties broken by smaller
-// size, then by first occurrence in ascending-bitmask order, matching
-// the DP planner's keep-first convention). It exists as the ground-truth
-// reference for testing the optimality of the dynamic programming
-// algorithm and is limited to topologies with at most 24 tasks.
+// Brute is the test oracle for planner optimality: it exhaustively
+// searches every subset of at most budget tasks and returns a plan with
+// the maximal worst-case OF (ties broken by smaller size, then by first
+// occurrence in ascending-bitmask order, matching the DP planner's
+// keep-first convention). It is limited to topologies with at most 24
+// tasks and is not registered.
 type Brute struct{}
 
-// Name implements Planner.
-func (Brute) Name() string { return "brute" }
-
-// Plan implements Planner.
+// Plan returns the exhaustive-search optimum.
 func (Brute) Plan(c *Context, budget int) (Plan, error) {
 	n := c.Topo.NumTasks()
 	if n > 24 {
-		return Plan{}, ErrTooLarge
+		return Plan{}, errTooLarge
 	}
 	if budget > n {
 		budget = n

@@ -8,7 +8,7 @@ import (
 )
 
 // maxMemoEntries bounds each objective cache so that exhaustive
-// searches (brute force, huge DP levels) cannot exhaust memory; once a
+// searches (huge DP levels) cannot exhaust memory; once a
 // cache is full further values are still computed, just not retained.
 const maxMemoEntries = 1 << 20
 
@@ -122,8 +122,8 @@ func (c *Context) globalCache(m Metric) map[string]float64 {
 }
 
 // evalGlobal computes the metric directly, bypassing the caches (used
-// by the memo miss path and by brute force, whose 2^N distinct plans
-// would only pollute them).
+// by the memo miss path and by the brute-force test oracle, whose 2^N
+// distinct plans would only pollute them).
 func (c *Context) evalGlobal(m Metric, p Plan) float64 {
 	e := c.evals.Get().(*fidelity.Evaluator)
 	defer c.evals.Put(e)

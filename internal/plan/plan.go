@@ -3,8 +3,8 @@
 // over MC-trees (Alg. 1), the task-level greedy algorithm (Alg. 2), the
 // structured-topology planner (Alg. 3), the full-topology planner
 // (Alg. 4) and the structure-aware general planner (Alg. 5), plus a
-// brute-force reference optimiser used to validate optimality in tests
-// and a Portfolio meta-planner that races every registered planner.
+// Portfolio meta-planner that races every registered planner. (A
+// brute-force optimum validates optimality in the package tests.)
 //
 // All planners solve the same problem (Definition 2): given a topology
 // and a resource budget of R actively replicated tasks, choose the R

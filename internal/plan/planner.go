@@ -75,7 +75,6 @@ func init() {
 	Register(SA{Opts: SAOptions{Metric: MetricIC}})
 	Register(Structured{})
 	Register(Full{})
-	Register(Brute{})
 	Register(Portfolio{})
 	// Correlation-aware variants: inner planner seeds, hill-climbing
 	// under the context's domain-correlated failure distribution

@@ -11,7 +11,7 @@ import (
 // TestRegistryLookup checks that every built-in planner is registered
 // and resolvable by name, and that the registry is consistent.
 func TestRegistryLookup(t *testing.T) {
-	want := []string{"brute", "dp", "dp-corr", "full", "greedy", "portfolio", "sa", "sa-corr", "sa-ic", "structured", "structured-corr"}
+	want := []string{"dp", "dp-corr", "full", "greedy", "portfolio", "sa", "sa-corr", "sa-ic", "structured", "structured-corr"}
 	for _, name := range want {
 		p, ok := Lookup(name)
 		if !ok {
@@ -74,22 +74,6 @@ func TestFullPlannerRejectsNonFullScope(t *testing.T) {
 	c := NewContext(topo)
 	if _, err := (Full{}).Plan(c, 3); err == nil {
 		t.Error("full planner accepted a Merge-partitioned topology")
-	}
-}
-
-// TestPortfolioDefaultExcludesBrute: the default planner set must not
-// block on the exponential brute-force sweep.
-func TestPortfolioDefaultExcludesBrute(t *testing.T) {
-	// 2^20 brute evaluations would dominate this test's runtime; with
-	// brute excluded the portfolio finishes promptly and still plans.
-	topo := chainTopo(4, 4, 4, 4, 4)
-	c := NewContext(topo)
-	p, err := Portfolio{}.Plan(c, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if of := c.OF(p); of <= 0 {
-		t.Errorf("portfolio OF = %v, want > 0 (one complete chain affordable)", of)
 	}
 }
 

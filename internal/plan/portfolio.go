@@ -9,17 +9,15 @@ import (
 // on the shared context and returns the best plan by the context's
 // configured metric, ties broken by smaller plan size, then
 // lexicographically smaller task set, then planner order. Planners that
-// fail (e.g. brute force on a large topology, DP past its state cap)
-// are skipped; Portfolio errors only when every inner planner fails.
+// fail (e.g. DP past its state cap, full on a non-Full topology) are
+// skipped; Portfolio errors only when every inner planner fails.
 //
 // Because all inner planners share the context's memoized evaluator,
 // the portfolio costs far less than the sum of its parts: candidate
 // plans probed by one planner are cache hits for the others.
 type Portfolio struct {
 	// Planners is the set to race; nil selects every registered planner
-	// in sorted name order, except portfolios themselves, the
-	// brute-force reference (whose exponential sweep would stall the
-	// portfolio on topologies approaching its 24-task limit) and the
+	// in sorted name order, except portfolios themselves and the
 	// *-corr variants (which optimise the correlation-aware objective,
 	// not the metric the portfolio ranks by); race those explicitly via
 	// Planners when that is wanted.
@@ -36,7 +34,7 @@ func (pf Portfolio) Plan(c *Context, budget int) (Plan, error) {
 		for _, name := range Names() {
 			p := MustLookup(name)
 			switch p.(type) {
-			case Portfolio, Brute, Corr:
+			case Portfolio, Corr:
 				continue
 			}
 			planners = append(planners, p)

@@ -10,8 +10,8 @@
 //   - building query topologies (operators, tasks, partitionings);
 //   - the Output Fidelity / Internal Completeness quality metrics;
 //   - the replication-plan optimisers (dynamic programming, greedy,
-//     structured, full-topology, structure-aware, brute force and the
-//     portfolio meta-planner), all behind the Planner interface and
+//     structured, full-topology, structure-aware and the portfolio
+//     meta-planner), all behind the Planner interface and
 //     selectable by registry name;
 //   - the deterministic discrete-event streaming engine with
 //     checkpointing, active replication, failure injection, recovery
@@ -151,8 +151,8 @@ func RegisterPlanner(p Planner) { plan.Register(p) }
 // LookupPlanner returns the registered planner with the given name.
 func LookupPlanner(name string) (Planner, bool) { return plan.Lookup(name) }
 
-// PlannerNames lists the registered planner names ("brute", "dp",
-// "dp-corr", "full", "greedy", "portfolio", "sa", "sa-corr", "sa-ic",
+// PlannerNames lists the registered planner names ("dp", "dp-corr",
+// "full", "greedy", "portfolio", "sa", "sa-corr", "sa-ic",
 // "structured", "structured-corr", ...).
 func PlannerNames() []string { return plan.Names() }
 
@@ -368,10 +368,11 @@ type FailureScenario = campaign.Scenario
 // correlation strength, injection time). Its optional timing fields are
 // pointers: nil selects the documented default, Ptr(0) is honoured
 // verbatim (e.g. JitterS: Ptr(0.0) disables injection-time jitter).
-// CRN switches to common-random-number substreams (scenario i depends
-// only on (Seed, i), enabling paired head-to-head comparisons); Tilt
-// >= 1 importance-samples rare cascades, attaching a likelihood-ratio
-// weight to each scenario that campaign summaries reweight by.
+// Scenario i depends only on (Seed, i), so campaigns sharing a seed
+// replay identical draws and can be compared pairwise (PairedCampaign);
+// Tilt >= 1 importance-samples rare cascades, attaching a
+// likelihood-ratio weight to each scenario that campaign summaries
+// reweight by.
 type ScenarioSpec = campaign.GenSpec
 
 // Ptr returns a pointer to v — shorthand for ScenarioSpec's explicit
@@ -404,12 +405,12 @@ type CampaignConfig = campaign.Config
 type CampaignReport = campaign.Report
 
 // CampaignSummary aggregates a campaign (mean/p50/p95/p99). Counts,
-// Mean and Max are exact; quantiles carry the sketch's rank-error
-// bound (see QuantileSketch) and are exact for campaigns with at most
-// DefaultSketchK samples per metric. ESS is the effective sample size
-// of the (possibly importance-weighted) loss estimate — equal to the
-// scenario count for plain campaigns, and above it when a tilt
-// reduces variance.
+// Mean and Max are exact; quantiles carry the summary's rank-error
+// bound (see WeightedQuantileSketch) and are exact for campaigns with
+// fewer than 4·DefaultSketchK samples per metric. ESS is the effective
+// sample size of the (possibly importance-weighted) loss estimate —
+// exactly the scenario count for plain campaigns, and above it when a
+// tilt reduces variance.
 type CampaignSummary = campaign.Summary
 
 // CampaignResult is one scenario's outcome, as retained in
@@ -535,8 +536,9 @@ const CampaignProtoVersion = coord.ProtoVersion
 // --- Variance engineering ---
 
 // PairedCampaign accumulates per-scenario metric pairs from two
-// campaigns generated with common random numbers (ScenarioSpec.CRN)
-// and summarises their difference. Feed it from the two campaigns'
+// campaigns generated from the same ScenarioSpec seed — which replay
+// identical failure draws, scenario by scenario — and summarises their
+// difference. Feed it from the two campaigns'
 // OnResult callbacks via ObserveBase/ObserveOther, keyed by scenario
 // index; only indices observed on both sides enter the summary.
 type PairedCampaign = campaign.Paired
@@ -566,44 +568,31 @@ func NewCampaignStopMonitor(cfg CampaignConfig) *CampaignStopMonitor {
 	return campaign.NewStopMonitor(cfg)
 }
 
-// WeightedQuantileSketch is the weighted companion of QuantileSketch:
-// each sample carries an importance-sampling likelihood-ratio weight
-// (ScenarioSpec.Tilt campaigns), quantiles are weighted-rank
-// estimates, and merge/serialisation stay deterministic — the basis
-// of bit-identical tilted campaign summaries across any worker and
-// shard layout.
+// WeightedQuantileSketch is the deterministic mergeable streaming
+// quantile summary every campaign summary is built on. Each sample
+// carries a weight — the scenario's importance-sampling likelihood
+// ratio under ScenarioSpec.Tilt, 1 otherwise. Count, SumW, Mean, Min
+// and Max are exact; quantiles are weighted nearest-rank values, exact
+// while the summary holds fewer than 4·k samples and within a rank
+// error of 2.56/k of the total weight beyond. Merge and serialisation
+// are deterministic — the basis of bit-identical campaign summaries
+// across any worker and shard layout.
 type WeightedQuantileSketch = sketch.Weighted
+
+// DefaultSketchK is the default sketch compression parameter
+// (rank error about 1%), also used by campaign summaries.
+const DefaultSketchK = sketch.DefaultK
 
 // NewWeightedQuantileSketch returns an empty weighted sketch with
 // compression parameter k (0 selects DefaultSketchK).
 func NewWeightedQuantileSketch(k int) *WeightedQuantileSketch { return sketch.NewWeighted(k) }
 
 // NewSeededWeightedQuantileSketch is NewWeightedQuantileSketch with
-// seeded compaction coin flips (see NewSeededQuantileSketch).
+// compaction coin flips derived from seed; summaries that are merged
+// together should share a seed.
 func NewSeededWeightedQuantileSketch(k int, seed uint64) *WeightedQuantileSketch {
 	return sketch.NewSeededWeighted(k, seed)
 }
-
-// QuantileSketch is the deterministic mergeable streaming quantile
-// sketch campaign summaries are built on (KLL-style). Count, Sum, Min
-// and Max are exact; Quantile carries a rank-error bound of
-// RankError()*n ranks, and is exact while the stream fits in the
-// sketch (at most k items). For one compression parameter k, identical
-// Add/Merge sequences yield bit-identical sketches.
-type QuantileSketch = sketch.Sketch
-
-// DefaultSketchK is the default sketch compression parameter
-// (rank error about 1%), also used by campaign summaries.
-const DefaultSketchK = sketch.DefaultK
-
-// NewQuantileSketch returns an empty sketch with compression
-// parameter k (0 selects DefaultSketchK).
-func NewQuantileSketch(k int) *QuantileSketch { return sketch.New(k) }
-
-// NewSeededQuantileSketch returns an empty sketch whose compaction
-// coin flips derive from seed — distinct parallel sketches that must
-// stay deterministic under merge should use distinct seeds.
-func NewSeededQuantileSketch(k int, seed uint64) *QuantileSketch { return sketch.NewSeeded(k, seed) }
 
 // BaselineCache memoizes failure-free baseline sink volumes per
 // (key, horizon) across campaigns, so sweep cells sharing a setup run
